@@ -68,9 +68,10 @@ LISTED=$(cargo run --release -p cxlg-bench --bin cxlg -- list | grep -c '^[a-z]'
 [ "$LISTED" -ge 17 ] || { echo "cxlg list shows only $LISTED experiments"; exit 1; }
 
 echo "==> full campaign via cxlg run --all at 1-, 2- and 4-thread pools (small scale)"
-# Three pool sizes, not two: with PR 6 the worker count also drives the
-# within-run round shards, so an intermediate pool catches shard-merge
-# bugs that only show between the 1-thread and saturated extremes.
+# Three pool sizes, not two: the worker count drives both the sweep-point
+# fan-out and the BFS frontier expansion nested inside each point, so an
+# intermediate pool catches ordering bugs that only show between the
+# 1-thread and saturated extremes.
 rm -rf target/ci-results-t1 target/ci-results-t2 target/ci-results-t4
 for T in 1 2 4; do
     CXLG_SCALE=10 RAYON_NUM_THREADS=$T CXLG_RESULTS_DIR=target/ci-results-t$T \

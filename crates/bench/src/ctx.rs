@@ -95,9 +95,9 @@ impl ExperimentCtx {
         }
     }
 
-    /// Run a sweep on this context's configured worker count — the one
-    /// knob that sizes both the cross-point fan-out and the within-run
-    /// round shards (`cxlg_core::engine::simulate_shards`). Experiments
+    /// Run a sweep on this context's configured worker count — the knob
+    /// that sizes the cross-point fan-out (and the BFS frontier
+    /// expansion nested inside each point's trace). Experiments
     /// should route sweeps through here rather than calling
     /// `runner::sweep` directly, so `ctx.threads` is authoritative and
     /// the manifest's recorded thread count matches what actually ran.

@@ -14,51 +14,11 @@
 //! SSSP round, matching the level-synchronous kernels of EMOGI/BaM); each
 //! batch is a list of [`DeviceRequest`]s executed to completion.
 //!
-//! # Parallel execution model: round shards
-//!
-//! A batch's requests are **globally coupled**: they contend for one
-//! credit pool, serialize in issue order on the request channel, and
-//! FIFO-share the return link, so a batch cannot be split across threads
-//! without changing the very contention the model exists to measure.
-//! What *is* independent is the sequence of batches themselves — each
-//! level runs the link to idle before the next one starts (the
-//! level-synchronous barrier), so the simulation decomposes exactly at
-//! round boundaries. The parallel engine exploits that:
-//!
-//! * each round's batch becomes one **shard**, simulated on its own
-//!   fresh [`Engine`] (its own event queue) starting at `t = 0`
-//!   ([`Engine::run_shard`]);
-//! * shards are fanned out over the rayon pool by [`simulate_shards`],
-//!   whose ordered collect puts results back in round order no matter
-//!   which worker ran them;
-//! * [`merge_shard_metrics`] reduces the per-shard [`ShardOutcome`]s in
-//!   **shard-index order**: simulated times are `u64` picoseconds (sums
-//!   and maxes are exact), and the latency [`OnlineStats`] are merged —
-//!   never re-streamed — with the fixed fold order making the float
-//!   fields bit-identical at any `RAYON_NUM_THREADS`.
-//!
-//! Because the engine's timing is translation-invariant (every device
-//! and link model advances through `max(now, busy_until)` and a drained
-//! batch leaves all `busy_until` marks at or before its end), a shard
-//! simulated at `t = 0` reproduces, shifted, exactly the timeline it
-//! would have produced starting at the previous round's end — so on
-//! DRAM- and CXL-backed systems the sharded run is **bit-identical** to
-//! the coupled single-engine chain.
-//!
-//! The flash-backed backends (XLFDD, NVMe) are the exception: their
-//! media carries real state across batches — plane page registers (a
-//! re-read of the most recently sensed page skips the full `tR`), plane
-//! busy timestamps, and the latency-jitter RNG stream — which a fresh
-//! per-shard engine would reset, changing the physics. The traversal
-//! layer therefore dispatches on
-//! [`BackendConfig::quiesces_between_batches`][qb]: quiescent backends
-//! take the shard path, flash-backed ones stay on the coupled chain
-//! (`Traversal::run_coupled`), keeping their paper-fidelity results
-//! byte-identical to the pre-shard engine. The differential suite in
-//! `crates/core/tests/parallel_differential.rs` pins all of these
-//! equivalences.
-//!
-//! [qb]: crate::system::BackendConfig::quiesces_between_batches
+//! Batches run back to back on one engine: the next batch starts on the
+//! clock where the previous one ended, and the backend's media state,
+//! the credit pool's occupancy integral and the link timestamps all
+//! carry over. [`Traversal::run`](crate::traversal::Traversal::run) is the
+//! only caller that chains batches.
 
 use crate::access::DeviceRequest;
 use crate::metrics::RunMetrics;
@@ -248,7 +208,6 @@ impl Engine {
         let mut end = start;
         let prop = self.cfg.link.propagation();
         let penalty = self.cfg.socket_penalty;
-        let req_bw = self.cfg.link.bandwidth();
         let compute = self.cfg.gpu.item_compute();
 
         while let Some((now, ev)) = q.pop() {
@@ -313,7 +272,6 @@ impl Engine {
                     q.schedule_at(now + compute, Ev::Warp);
                 }
             }
-            let _ = req_bw; // silence unused in cfg paths where inlined below
         }
         debug_assert_eq!(completed, r, "batch did not drain");
         debug_assert!(self.ret_queue.is_empty());
@@ -382,101 +340,6 @@ impl Engine {
     /// The engine's configured credit limit.
     pub fn credit_limit(&self) -> u64 {
         self.cfg.credits
-    }
-
-    /// Execute one round shard on this engine: run `requests` as a batch
-    /// from `t = 0` and capture everything the shard merge needs. The
-    /// engine must be fresh (no prior batches) — each shard owns its
-    /// engine, event queue, and backend outright, which is what makes
-    /// shards independently simulable.
-    pub fn run_shard(&mut self, requests: &[DeviceRequest]) -> ShardOutcome {
-        debug_assert_eq!(
-            self.run_requests, 0,
-            "run_shard requires a fresh engine; reuse couples shards"
-        );
-        let result = self.run_batch(SimTime::ZERO, requests);
-        ShardOutcome {
-            outstanding_integral: self.credits.in_use_integral(result.end),
-            peak_outstanding: self.credits.high_water(),
-            result,
-        }
-    }
-}
-
-/// Everything [`merge_shard_metrics`] needs from one independently
-/// simulated round shard. The outstanding-credit measure is carried as
-/// the exact integer integral (credit·ps), not a per-shard float mean,
-/// so the merged mean is a single division — bit-identical to the
-/// coupled engine's, not merely close.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// The round's batch result on the shard's own `t = 0` clock.
-    pub result: BatchResult,
-    /// Exact in-use credit integral over the shard (credit·picoseconds).
-    pub outstanding_integral: u128,
-    /// Peak outstanding requests within the shard.
-    pub peak_outstanding: u64,
-}
-
-/// Simulate every round's batch as an independent shard across the rayon
-/// pool, returning outcomes in round order. `factory` builds one fresh
-/// [`Engine`] per shard (each shard gets its own event queue and backend
-/// state). The vendored rayon's ordered collect guarantees the output
-/// order — and therefore the downstream merge — is a pure function of
-/// `batches`, independent of `RAYON_NUM_THREADS`.
-pub fn simulate_shards<F>(factory: F, batches: &[Vec<DeviceRequest>]) -> Vec<ShardOutcome>
-where
-    F: Fn() -> Engine + Sync,
-{
-    use rayon::prelude::*;
-    batches
-        .par_iter()
-        .map(|reqs| factory().run_shard(reqs))
-        .collect()
-}
-
-/// Reduce per-round [`ShardOutcome`]s into run-level [`RunMetrics`],
-/// folding in shard-index (= round) order:
-///
-/// * `runtime`, `fetched_bytes`, `requests` are integer sums — exact and
-///   order-independent;
-/// * `latency` is [`OnlineStats::merge_ordered`] over the per-shard
-///   stats, the same left-to-right fold the coupled engine performs when
-///   it merges each batch into `run_latency` — bit-identical to it;
-/// * `mean_outstanding` divides the summed integer credit integrals by
-///   the summed duration once, reproducing the coupled
-///   `CreditPool::mean_in_use` expression exactly;
-/// * `peak_outstanding` is the max.
-///
-/// `useful_bytes` and `cache_hits` are zero here; the traversal layer
-/// fills them (they are trace properties, not engine properties).
-pub fn merge_shard_metrics(outcomes: &[ShardOutcome]) -> RunMetrics {
-    let mut runtime_ps = 0u64;
-    let mut fetched = 0u64;
-    let mut requests = 0u64;
-    let mut peak = 0u64;
-    let mut integral = 0u128;
-    for o in outcomes {
-        runtime_ps += o.result.end.saturating_since(SimTime::ZERO).as_ps();
-        fetched += o.result.fetched_bytes;
-        requests += o.result.requests;
-        peak = peak.max(o.peak_outstanding);
-        integral += o.outstanding_integral;
-    }
-    let latency = OnlineStats::merge_ordered(outcomes.iter().map(|o| &o.result.latency));
-    RunMetrics {
-        runtime: SimDuration::from_ps(runtime_ps),
-        useful_bytes: 0,
-        fetched_bytes: fetched,
-        requests,
-        cache_hits: 0,
-        latency,
-        mean_outstanding: if runtime_ps == 0 {
-            0.0
-        } else {
-            integral as f64 / runtime_ps as f64
-        },
-        peak_outstanding: peak,
     }
 }
 
@@ -609,101 +472,6 @@ mod tests {
         let t2048 = run(2048);
         let t3072 = run(3072);
         assert!((t2048 - t3072).abs() / t2048 < 0.02);
-    }
-
-    /// A batch schedule with empty, tiny, and saturating rounds — the
-    /// shapes a BFS level sequence actually produces.
-    fn shard_batches() -> Vec<Vec<DeviceRequest>> {
-        vec![
-            uniform_requests(1, 128),
-            uniform_requests(3_000, 64),
-            Vec::new(),
-            uniform_requests(500, 4096),
-            uniform_requests(7, 128),
-        ]
-    }
-
-    #[test]
-    fn sharded_batches_match_coupled_engine_bit_for_bit() {
-        let batches = shard_batches();
-        let mut coupled = dram_engine(PcieGen::Gen4, 512);
-        let mut t = SimTime::ZERO;
-        for b in &batches {
-            t = coupled.run_batch(t, b).end;
-        }
-        let cm = coupled.finish();
-
-        let outcomes = simulate_shards(|| dram_engine(PcieGen::Gen4, 512), &batches);
-        let sm = merge_shard_metrics(&outcomes);
-        assert_eq!(sm.runtime, cm.runtime);
-        assert_eq!(sm.fetched_bytes, cm.fetched_bytes);
-        assert_eq!(sm.requests, cm.requests);
-        assert_eq!(sm.peak_outstanding, cm.peak_outstanding);
-        // Float fields must match to the bit, not within a tolerance:
-        // the latency stats are the same fixed-order Welford fold, and
-        // the outstanding mean is the same single division.
-        assert_eq!(sm.latency.fingerprint(), cm.latency.fingerprint());
-        assert_eq!(
-            sm.mean_outstanding.to_bits(),
-            cm.mean_outstanding.to_bits()
-        );
-    }
-
-    #[test]
-    fn flash_media_state_breaks_the_shard_decomposition() {
-        // Two identical batches re-reading the same addresses: coupled,
-        // the second batch hits the plane page registers (a register
-        // read instead of a full `tR` sense) and continues the jitter
-        // RNG stream; sharded, each fresh engine has forgotten both.
-        // This divergence is exactly why the traversal layer keeps
-        // flash-backed systems on the coupled chain.
-        let sys = crate::system::SystemConfig::xlfdd(PcieGen::Gen4, 16);
-        let batches = vec![uniform_requests(64, 128), uniform_requests(64, 128)];
-        let mut coupled = sys.build_engine();
-        let mut t = SimTime::ZERO;
-        for b in &batches {
-            t = coupled.run_batch(t, b).end;
-        }
-        let cm = coupled.finish();
-        let sm = merge_shard_metrics(&simulate_shards(|| sys.build_engine(), &batches));
-        assert_eq!(sm.requests, cm.requests);
-        assert_eq!(sm.fetched_bytes, cm.fetched_bytes);
-        assert_ne!(
-            sm.runtime, cm.runtime,
-            "flash no longer carries cross-batch state; the traversal \
-             dispatch (and this test) can be retired"
-        );
-    }
-
-    #[test]
-    fn shard_merge_is_thread_count_invariant() {
-        let batches = shard_batches();
-        let run = |threads: usize| {
-            rayon::with_num_threads(threads, || {
-                merge_shard_metrics(&simulate_shards(
-                    || dram_engine(PcieGen::Gen4, 512),
-                    &batches,
-                ))
-            })
-        };
-        let reference = run(1);
-        for threads in [2, 8] {
-            let m = run(threads);
-            assert_eq!(m.runtime, reference.runtime, "threads={threads}");
-            assert_eq!(m.latency.fingerprint(), reference.latency.fingerprint());
-            assert_eq!(
-                m.mean_outstanding.to_bits(),
-                reference.mean_outstanding.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn merge_of_no_shards_is_empty() {
-        let m = merge_shard_metrics(&[]);
-        assert_eq!(m.runtime, SimDuration::ZERO);
-        assert_eq!(m.requests, 0);
-        assert_eq!(m.mean_outstanding, 0.0);
     }
 
     #[test]

@@ -38,10 +38,11 @@ where
 
 /// [`sweep`] on a pool of exactly `threads` workers, regardless of the
 /// ambient pool size. Campaign drivers route every sweep through this
-/// with the context's configured worker count, so one knob governs both
-/// the cross-point fan-out here and the within-run round shards in
-/// [`crate::engine::simulate_shards`]. Results are identical at any
-/// thread count; only wall-clock changes.
+/// with the context's configured worker count. Sweep points are the
+/// unit of parallelism; within a point, the only parallel stage is BFS
+/// frontier expansion in the trace, and each point simulates on one
+/// engine. Results are identical at any thread count; only wall-clock
+/// changes.
 pub fn sweep_with_threads<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,

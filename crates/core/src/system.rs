@@ -66,21 +66,6 @@ impl BackendConfig {
             BackendConfig::Nvme { .. } => "nvme",
         }
     }
-
-    /// Whether the device carries no state across a drained batch — true
-    /// for DRAM and CXL memory (busy-until timestamps only, all at or
-    /// before the batch end), false for the flash-backed targets whose
-    /// media keeps plane page registers, plane busy times, and a latency
-    /// jitter RNG between batches. Quiescent backends are exactly the
-    /// ones the round-shard decomposition reproduces bit-for-bit
-    /// (`cxlg_core::engine` module docs); the traversal layer dispatches
-    /// on this.
-    pub fn quiesces_between_batches(&self) -> bool {
-        match self {
-            BackendConfig::HostDram { .. } | BackendConfig::CxlMem { .. } => true,
-            BackendConfig::Xlfdd { .. } | BackendConfig::Nvme { .. } => false,
-        }
-    }
 }
 
 /// How the GPU turns sublist reads into device requests.

@@ -14,21 +14,17 @@
 //! same traces, so Figure 3 and the runtime figures see identical access
 //! orders.
 //!
-//! # Execution paths
+//! # Execution path
 //!
-//! A run has three stages: trace, request planning, and simulation.
-//! Planning is sequential by construction — the access methods are
-//! stateful across levels (the BaM cache, UVM fault tracking) — but it
-//! is cheap; simulation dominates. On backends that quiesce at the
-//! level barrier (DRAM, CXL), [`Traversal::run`] simulates each level's
-//! batch as an independent **round shard** across the rayon pool and
-//! merges outcomes in level order (see the `engine` module docs for why
-//! this is exact); flash-backed backends carry media state across
-//! batches and stay on the coupled one-engine chain.
-//! [`Traversal::run_reference`] is the sequential oracle with the
-//! identical decomposition and dispatch, and [`Traversal::run_coupled`]
-//! keeps the legacy chained-batch semantics on every backend; the
-//! differential tests pin all three against each other.
+//! [`Traversal::run`] is the one way a workload is simulated. It traces
+//! the workload, builds one engine, then streams the levels: each
+//! level's sublist spans are planned through the access method (stateful
+//! across levels — the BaM cache, UVM fault tracking) into a reused
+//! request buffer, and the batch runs on the engine starting on the
+//! clock where the previous level ended. A single engine is required,
+//! not just convenient: flash media keep page registers, plane busy
+//! times and a jitter RNG across level barriers, and the credit pool's
+//! occupancy integral and the run clock are continuous over the run.
 //!
 //! Within the trace itself, BFS frontier expansion is parallelized
 //! (candidate collection against the level-entry `visited` snapshot,
@@ -40,7 +36,6 @@
 //! trivial kind.
 
 use crate::access::DeviceRequest;
-use crate::engine::{self, ShardOutcome};
 use crate::metrics::{LevelStats, RunMetrics, RunReport};
 use crate::system::SystemConfig;
 use cxlg_graph::layout::EdgeListLayout;
@@ -78,22 +73,6 @@ pub enum Workload {
 pub struct Traversal {
     /// The workload to execute.
     pub workload: Workload,
-}
-
-/// Everything the simulation stage needs, produced by the sequential
-/// planning stage: one request batch per level plus the trace-derived
-/// statistics the engine cannot know.
-struct RunPlan {
-    /// Per-level device request batches, in level order.
-    batches: Vec<Vec<DeviceRequest>>,
-    /// Per-level `(frontier size, useful bytes)`.
-    level_info: Vec<(u64, u64)>,
-    /// Sum of per-level useful bytes (`E` of §3.1).
-    total_useful: u64,
-    /// Access-method cache hits over the whole run.
-    total_hits: u64,
-    /// Vertices reached (BFS/SSSP/CC) or processed (PageRank).
-    reached: u64,
 }
 
 impl Traversal {
@@ -163,20 +142,25 @@ impl Traversal {
         }
     }
 
-    /// Sequential planning stage: trace the workload, then route every
-    /// level's sublist spans through the (stateful) access method to get
-    /// per-level request batches.
-    fn plan<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunPlan {
+    /// Run the workload on a simulated system, producing full metrics.
+    ///
+    /// Trace, then plan and simulate one level at a time on one engine
+    /// (see the module docs), so only one level's requests are alive at
+    /// a time. The result is identical at any `RAYON_NUM_THREADS`: the
+    /// only parallelism inside a run is BFS frontier expansion, whose
+    /// output is thread-count invariant.
+    pub fn run<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
         let layout = EdgeListLayout::new(g);
         let mut access = sys.build_access(layout.edge_list_bytes());
-        let (levels_vertices, reached) = self.trace_with_reached(g);
-
-        let mut batches = Vec::with_capacity(levels_vertices.len());
-        let mut level_info = Vec::with_capacity(levels_vertices.len());
+        let (trace, reached) = self.trace_with_reached(g);
+        let mut engine = sys.build_engine();
+        let mut reqs: Vec<DeviceRequest> = Vec::new();
+        let mut levels = Vec::with_capacity(trace.len());
         let mut total_useful = 0u64;
         let mut total_hits = 0u64;
-        for frontier in &levels_vertices {
-            let mut reqs: Vec<DeviceRequest> = Vec::new();
+        let mut t = SimTime::ZERO;
+        for (depth, frontier) in trace.iter().enumerate() {
+            reqs.clear();
             access.begin_level();
             let mut useful = 0u64;
             for &v in frontier {
@@ -185,124 +169,25 @@ impl Traversal {
                 total_hits += access.requests_for_span(span, &mut reqs);
             }
             total_useful += useful;
-            level_info.push((frontier.len() as u64, useful));
-            batches.push(reqs);
-        }
-        RunPlan {
-            batches,
-            level_info,
-            total_useful,
-            total_hits,
-            reached,
-        }
-    }
-
-    /// Assemble the report from per-level shard outcomes (in level
-    /// order) and the plan's trace statistics.
-    fn assemble(&self, plan: RunPlan, outcomes: Vec<ShardOutcome>, sys: &SystemConfig) -> RunReport {
-        let levels: Vec<LevelStats> = plan
-            .level_info
-            .iter()
-            .zip(&outcomes)
-            .enumerate()
-            .map(|(depth, (&(frontier, useful), o))| LevelStats {
-                depth: depth as u32,
-                frontier,
-                useful_bytes: useful,
-                fetched_bytes: o.result.fetched_bytes,
-                runtime: o.result.end.saturating_since(SimTime::ZERO),
-            })
-            .collect();
-        let mut metrics: RunMetrics = engine::merge_shard_metrics(&outcomes);
-        metrics.useful_bytes = plan.total_useful;
-        metrics.cache_hits = plan.total_hits;
-        RunReport {
-            metrics,
-            levels,
-            reached: plan.reached,
-            workload: self.name().to_string(),
-            backend: sys.label(),
-        }
-    }
-
-    /// Run the workload on a simulated system, producing full metrics.
-    ///
-    /// On backends whose device state quiesces at the level barrier
-    /// (DRAM, CXL — see
-    /// [`BackendConfig::quiesces_between_batches`][qb]), each level's
-    /// batch is simulated as an independent round shard across the rayon
-    /// pool and the outcomes are merged in level order — bit-identical
-    /// at any `RAYON_NUM_THREADS` *and* bit-identical to the coupled
-    /// path. Flash-backed backends (XLFDD, NVMe) carry real media state
-    /// between batches (plane page registers, busy timestamps, the
-    /// jitter RNG), so resetting it per shard would change the physics;
-    /// they stay on the coupled single-engine chain, preserving the
-    /// paper-fidelity results exactly. Either way the trace-side
-    /// parallelism (BFS frontier expansion) and the identical result at
-    /// every worker count hold.
-    ///
-    /// [qb]: crate::system::BackendConfig::quiesces_between_batches
-    pub fn run<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        if !sys.backend.quiesces_between_batches() {
-            return self.run_coupled(g, sys);
-        }
-        let plan = self.plan(g, sys);
-        let outcomes = engine::simulate_shards(|| sys.build_engine(), &plan.batches);
-        self.assemble(plan, outcomes, sys)
-    }
-
-    /// Sequential reference oracle: the identical decomposition and
-    /// merge as [`Traversal::run`] — per-level shards simulated in level
-    /// order on the calling thread for quiescent backends, the coupled
-    /// chain for flash-backed ones — with no rayon involvement in the
-    /// simulation stage. The differential harness pins `run` against
-    /// this at several pool sizes.
-    pub fn run_reference<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        if !sys.backend.quiesces_between_batches() {
-            return self.run_coupled(g, sys);
-        }
-        let plan = self.plan(g, sys);
-        let outcomes: Vec<ShardOutcome> = plan
-            .batches
-            .iter()
-            .map(|reqs| sys.build_engine().run_shard(reqs))
-            .collect();
-        self.assemble(plan, outcomes, sys)
-    }
-
-    /// Legacy coupled execution: one engine for the whole run, each
-    /// batch starting on the clock where the previous one ended. This is
-    /// the physics oracle the shard decomposition is validated against —
-    /// for backends whose device state quiesces between batches (all but
-    /// the flash arrays with their page registers and jitter RNGs),
-    /// [`Traversal::run`] must reproduce it bit-for-bit.
-    pub fn run_coupled<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        let plan = self.plan(g, sys);
-        let mut engine = sys.build_engine();
-        let mut levels = Vec::with_capacity(plan.batches.len());
-        let mut t = SimTime::ZERO;
-        for (depth, (reqs, &(frontier, useful))) in
-            plan.batches.iter().zip(&plan.level_info).enumerate()
-        {
             let level_start = t;
-            let batch = engine.run_batch(t, reqs);
+            let batch = engine.run_batch(t, &reqs);
             t = batch.end;
             levels.push(LevelStats {
                 depth: depth as u32,
-                frontier,
+                frontier: frontier.len() as u64,
                 useful_bytes: useful,
                 fetched_bytes: batch.fetched_bytes,
                 runtime: t.saturating_since(level_start),
             });
         }
         let mut metrics: RunMetrics = engine.finish();
-        metrics.useful_bytes = plan.total_useful;
-        metrics.cache_hits = plan.total_hits;
+        metrics.useful_bytes = total_useful;
+        metrics.cache_hits = total_hits;
         metrics.runtime = t.saturating_since(SimTime::ZERO);
         RunReport {
             metrics,
             levels,
-            reached: plan.reached,
+            reached,
             workload: self.name().to_string(),
             backend: sys.label(),
         }
@@ -667,78 +552,6 @@ mod tests {
         let b = Traversal::bfs(g.max_degree_vertex().unwrap()).run(&g, &sys);
         assert_eq!(a.metrics.runtime, b.metrics.runtime);
         assert_eq!(a.metrics.fetched_bytes, b.metrics.fetched_bytes);
-    }
-
-    #[test]
-    fn sharded_run_matches_coupled_run_exactly_on_memoryless_backends() {
-        // The heart of the decomposition argument: on every backend
-        // whose device state quiesces at the level barrier (DRAM, CXL,
-        // UVM — everything but the flash arrays), the per-level shards
-        // merged in level order must reproduce the coupled single-engine
-        // run bit-for-bit — including the float fields.
-        let g = GraphSpec::kron(9).seed(11).build();
-        let src = g.max_degree_vertex().unwrap();
-        let systems = [
-            SystemConfig::emogi_on_dram(PcieGen::Gen4),
-            SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.0),
-            SystemConfig::uvm_on_dram(PcieGen::Gen4),
-        ];
-        for sys in &systems {
-            for trav in [Traversal::bfs(src), Traversal::sssp(src)] {
-                let sharded = trav.run(&g, sys);
-                let coupled = trav.run_coupled(&g, sys);
-                let label = format!("{} on {}", trav.name(), sys.label());
-                assert_eq!(
-                    serde_json::to_string(&sharded).unwrap(),
-                    serde_json::to_string(&coupled).unwrap(),
-                    "sharded vs coupled diverged for {label}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn flash_backed_runs_take_the_coupled_path() {
-        // Flash arrays carry real media state across batches (plane page
-        // registers, busy timestamps, the jitter RNG), so the dispatch
-        // in `run` must route XLFDD and NVMe through the coupled engine
-        // — their results stay byte-identical to the pre-shard physics
-        // the fidelity bands were validated against.
-        let g = GraphSpec::kron(9).seed(11).build();
-        let src = g.max_degree_vertex().unwrap();
-        for sys in [
-            SystemConfig::xlfdd(PcieGen::Gen4, 16),
-            SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
-        ] {
-            for trav in [Traversal::bfs(src), Traversal::sssp(src)] {
-                let run = trav.run(&g, &sys);
-                let coupled = trav.run_coupled(&g, &sys);
-                assert_eq!(
-                    serde_json::to_string(&run).unwrap(),
-                    serde_json::to_string(&coupled).unwrap(),
-                    "{} on {} left the coupled path",
-                    trav.name(),
-                    sys.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_reference_is_the_same_decomposition() {
-        let g = GraphSpec::urand(9).seed(6).build();
-        let trav = Traversal::bfs(0);
-        // The oracle mirrors the dispatch: sequential shards on a
-        // quiescent backend, the coupled chain on a flash-backed one —
-        // either way `run` must agree with it byte-for-byte.
-        for sys in [
-            SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
-            SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
-        ] {
-            let a = serde_json::to_string(&trav.run(&g, &sys)).unwrap();
-            let b = serde_json::to_string(&trav.run_reference(&g, &sys)).unwrap();
-            assert_eq!(a, b, "{}", sys.label());
-        }
     }
 
     #[test]

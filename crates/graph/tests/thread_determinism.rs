@@ -10,10 +10,10 @@
 //! of seeds and scales.
 //!
 //! This file covers the *graph* layer only. The workspace-level suite in
-//! `tests/determinism.rs` and the differential harness in
-//! `crates/core/tests/parallel_differential.rs` extend the same contract
-//! to the parallel simulation engine and traversal (round-shard merge,
-//! `RunMetrics`, and trace bytes at any worker count).
+//! `tests/determinism.rs` and the golden oracle in
+//! `crates/core/tests/run_golden.rs` extend the same contract to the
+//! traversal and simulation (`RunReport` and trace bytes at any worker
+//! count).
 
 use cxlg_graph::builder::csr_from_edges;
 use cxlg_graph::gen::{kronecker, social, uniform};

@@ -129,16 +129,6 @@ impl CreditPool {
         }
         self.in_use_weighted as f64 / now.as_ps() as f64
     }
-
-    /// Exact credit·picosecond integral of in-use credits over `[0, now]`
-    /// — the numerator of [`CreditPool::mean_in_use`], exposed as an
-    /// integer so independently simulated round shards can sum their
-    /// integrals and take a *single* division, reproducing the coupled
-    /// run's mean bit-for-bit instead of averaging per-shard floats.
-    pub fn in_use_integral(&mut self, now: SimTime) -> u128 {
-        self.advance(now);
-        self.in_use_weighted
-    }
 }
 
 #[cfg(test)]
@@ -201,20 +191,6 @@ mod tests {
         // ...then zero held for the second microsecond.
         let mean = p.mean_in_use(SimTime(2_000_000));
         assert!((mean - 1.0).abs() < 1e-9, "{mean}");
-    }
-
-    #[test]
-    fn in_use_integral_is_the_exact_mean_numerator() {
-        let mut p = CreditPool::new(4);
-        assert!(p.try_acquire(SimTime::ZERO));
-        assert!(p.try_acquire(SimTime::ZERO));
-        p.release(SimTime(1_000_000));
-        p.release(SimTime(1_500_000));
-        // 2 credits for 1 ms + 1 credit for 0.5 ms = 2.5e6 credit·ps.
-        let end = SimTime(2_000_000);
-        assert_eq!(p.in_use_integral(end), 2_500_000);
-        let mean = p.mean_in_use(end);
-        assert_eq!(mean.to_bits(), (2_500_000f64 / 2_000_000f64).to_bits());
     }
 
     #[test]

@@ -79,16 +79,11 @@ impl OnlineStats {
         self.max
     }
 
-    /// Merge another accumulator into this one (parallel reduction).
-    ///
-    /// The merge is *exact* in the sense the shard runner needs: it is a
-    /// pure function of the two accumulators' field values (Chan et al.'s
-    /// pairwise update), so folding the same shards in the same order
-    /// always produces bit-identical results. It is **not** exactly
-    /// associative in floating point — merging in a different order can
-    /// change low-order bits — which is why every parallel consumer must
-    /// fold shards in a fixed, input-defined order (see
-    /// [`OnlineStats::merge_ordered`]).
+    /// Merge another accumulator into this one (Chan et al.'s pairwise
+    /// update). The result is a pure function of the two accumulators'
+    /// field values, but it is not exactly associative in floating point,
+    /// so callers merge in a fixed order (the engine folds each batch
+    /// into its run totals in batch order).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
             return;
@@ -107,43 +102,6 @@ impl OnlineStats {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// Fold `shards` left-to-right into one accumulator. The reduction
-    /// order is the iteration order — callers hand shards over in a
-    /// deterministic, input-defined order (shard index), which is what
-    /// makes the merged statistics byte-identical at any thread count.
-    pub fn merge_ordered<'a>(shards: impl IntoIterator<Item = &'a OnlineStats>) -> OnlineStats {
-        let mut acc = OnlineStats::new();
-        for s in shards {
-            acc.merge(s);
-        }
-        acc
-    }
-
-    /// Bit-exact digest of the accumulator state (count, mean, m2,
-    /// min, max, by their raw bit patterns). Two accumulators fingerprint
-    /// equal iff they would serialize identically — the differential
-    /// test harness uses this to catch *any* divergence in a parallel
-    /// reduction, including low-order float bits that approximate
-    /// comparisons would wave through.
-    pub fn fingerprint(&self) -> u64 {
-        // SplitMix64 over the five field words; order-sensitive.
-        let mut h: u64 = 0x9E3779B97F4A7C15;
-        for w in [
-            self.n,
-            self.mean.to_bits(),
-            self.m2.to_bits(),
-            self.min.to_bits(),
-            self.max.to_bits(),
-        ] {
-            h ^= w;
-            h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-            h ^= h >> 27;
-            h = h.wrapping_mul(0x94D049BB133111EB);
-            h ^= h >> 31;
-        }
-        h
     }
 }
 
@@ -332,46 +290,6 @@ mod tests {
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
         assert!((left.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_ordered_equals_manual_fold_bit_for_bit() {
-        // Three shards with deliberately awkward values; the helper must
-        // reproduce the exact left-to-right fold, bitwise.
-        let mut shards = vec![OnlineStats::new(), OnlineStats::new(), OnlineStats::new()];
-        for (i, s) in shards.iter_mut().enumerate() {
-            for k in 0..50 + i {
-                s.push(((i * 37 + k) as f64).sin() * 1e3);
-            }
-        }
-        let merged = OnlineStats::merge_ordered(shards.iter());
-        let mut manual = OnlineStats::new();
-        for s in &shards {
-            manual.merge(s);
-        }
-        assert_eq!(merged.fingerprint(), manual.fingerprint());
-        assert_eq!(merged.mean().to_bits(), manual.mean().to_bits());
-        assert_eq!(merged.variance().to_bits(), manual.variance().to_bits());
-    }
-
-    #[test]
-    fn fingerprint_detects_any_field_tamper() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for x in [1.0, 2.5, -3.0, 7.25] {
-            a.push(x);
-            b.push(x);
-        }
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // One extra observation — or a re-streamed (rather than merged)
-        // reduction — must change the digest.
-        b.push(1e-9);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        // Even a tamper that keeps the mean identical is caught.
-        let mut c = a.clone();
-        c.push(a.mean());
-        assert!((c.mean() - a.mean()).abs() < 1e-12);
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]

@@ -86,17 +86,17 @@ fn nested_parallel_sweeps_are_stable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The PR 6 parallel paths — round-shard simulation in the engine and
-    /// parallel BFS frontier expansion — under the same property sweep
-    /// the graph pipeline gets: any family × scale × seed, every worker
-    /// count must yield identical `RunMetrics` *and* identical trace
-    /// bytes.
+    /// The traversal's parallel stage (BFS frontier expansion) feeding
+    /// the single-engine simulation, under the same property sweep the
+    /// graph pipeline gets: any family × scale × seed × system, every
+    /// worker count must yield identical run reports *and* identical
+    /// trace bytes.
     #[test]
     fn parallel_engine_and_traversal_are_thread_count_invariant(
         fam in 0u8..3,
         scale in 7u32..11,
         seed in 0u64..1_000_000,
-        sys_pick in 0u8..4,
+        sys_pick in 0u8..5,
     ) {
         let spec = match fam {
             0 => GraphSpec::urand(scale),
@@ -107,7 +107,8 @@ proptest! {
         let sys = match sys_pick {
             0 => Sys::emogi_on_dram(PcieGen::Gen4),
             1 => Sys::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.0),
-            2 => Sys::bam_on_nvme(PcieGen::Gen4, 4),
+            2 => Sys::uvm_on_dram(PcieGen::Gen4),
+            3 => Sys::bam_on_nvme(PcieGen::Gen4, 4),
             _ => Sys::xlfdd(PcieGen::Gen4, 16),
         };
         let observe = |threads: usize| {
@@ -115,10 +116,14 @@ proptest! {
                 let g = spec.build();
                 let src = g.max_degree_vertex().unwrap();
                 let trace = cxl_gpu_graph::core::traversal::bfs_trace(&g, src);
-                let reports: Vec<_> = [Traversal::bfs(src), Traversal::sssp(src)]
-                    .iter()
-                    .map(|t| t.run(&g, &sys))
-                    .collect();
+                let reports: Vec<_> = [
+                    Traversal::bfs(src),
+                    Traversal::sssp(src),
+                    Traversal::connected_components(),
+                ]
+                .iter()
+                .map(|t| t.run(&g, &sys))
+                .collect();
                 (
                     serde_json::to_string(&trace).unwrap(),
                     serde_json::to_string(&reports).unwrap(),

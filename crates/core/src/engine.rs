@@ -19,13 +19,24 @@
 //! the credit pool's occupancy integral and the link timestamps all
 //! carry over. [`Traversal::run`](crate::traversal::Traversal::run) is the
 //! only caller that chains batches.
+//!
+//! Pending events wait in one lane per event class rather than in one
+//! global heap. Warp wake-ups (`now + compute`), device arrivals
+//! (`out + const`, with the request channel's `out` strictly rising) and
+//! completions (`now + propagation`) are each produced in time order, so
+//! each is a FIFO; at most one segment transfer is on the return link;
+//! only segment-ready times depend on the device and need a heap. Every
+//! event keeps the sequence number of its scheduling order and the next
+//! event is the least `(time, seq)` among the lane heads — exactly the
+//! order, ties included, of a single `(time, seq)` priority queue.
 
 use crate::access::DeviceRequest;
+use crate::event::{Ev, Lanes};
 use crate::metrics::RunMetrics;
 use cxlg_device::target::{MemoryTarget, ReadSegment};
 use cxlg_gpu::config::GpuConfig;
 use cxlg_link::pcie::PcieLinkConfig;
-use cxlg_sim::{CreditPool, EventQueue, OnlineStats, SimDuration, SimTime};
+use cxlg_sim::{CreditPool, OnlineStats, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// How requests travel to the device.
@@ -73,31 +84,6 @@ pub struct BatchResult {
     pub latency: OnlineStats,
 }
 
-enum Ev {
-    /// A warp is free and pulls the next work item.
-    Warp,
-    /// A request arrives at the device.
-    DevArrive(u32),
-    /// A response segment is ready to enter the return link.
-    SegReady {
-        req: u32,
-        bytes: u64,
-    },
-    /// A segment finished serializing on the return link.
-    SegDone {
-        req: u32,
-    },
-    /// The request's final data arrived at the GPU.
-    Complete(u32),
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, _: &Self) -> bool {
-        false // events are never compared for equality by the queue
-    }
-}
-impl Eq for Ev {}
-
 /// The execution core. Owns the backend device and all link state; one
 /// engine is used for a whole run so channel/credit state carries across
 /// batches.
@@ -105,6 +91,13 @@ pub struct Engine {
     cfg: EngineConfig,
     backend: Box<dyn MemoryTarget>,
     credits: CreditPool,
+    /// Serialization time of one request (TLP header or SQ entry) on the
+    /// request channel.
+    req_ser: SimDuration,
+    /// Request channel exit → device arrival: propagation, the socket
+    /// hop, and for storage the extra round trip in which the drive
+    /// fetches the SQ entry from GPU BAR memory.
+    req_delay: SimDuration,
     /// Request-direction channel availability.
     req_next_free: SimTime,
     /// Is a transfer currently serializing on the return link?
@@ -117,8 +110,12 @@ pub struct Engine {
     ret_inflight: bool,
     /// Segments waiting for the return link, FIFO by ready time.
     ret_queue: VecDeque<(u32, u64)>,
-    /// Cumulative bytes pushed over the return link (payload only).
-    ret_payload_bytes: u64,
+    /// Pending events; empty between batches.
+    lanes: Lanes,
+    /// Per-batch buffers, indexed by request, reused across batches.
+    issue_time: Vec<SimTime>,
+    remaining: Vec<u32>,
+    segs: Vec<ReadSegment>,
     run_latency: OnlineStats,
     run_requests: u64,
     run_fetched: u64,
@@ -128,15 +125,24 @@ pub struct Engine {
 impl Engine {
     /// Build an engine over a backend device.
     pub fn new(cfg: EngineConfig, backend: Box<dyn MemoryTarget>) -> Self {
-        let credits = CreditPool::new(cfg.credits);
+        let prop = cfg.link.propagation();
+        let (req_bytes, extra) = match cfg.path {
+            RequestPath::Memory => (PcieLinkConfig::REQUEST_TLP_BYTES, SimDuration::ZERO),
+            RequestPath::Storage { entry_bytes, .. } => (entry_bytes, prop + prop),
+        };
         Engine {
+            credits: CreditPool::new(cfg.credits),
+            req_ser: cfg.link.bandwidth().transfer_time(req_bytes),
+            req_delay: prop + cfg.socket_penalty + extra,
             cfg,
             backend,
-            credits,
             req_next_free: SimTime::ZERO,
             ret_inflight: false,
             ret_queue: VecDeque::new(),
-            ret_payload_bytes: 0,
+            lanes: Lanes::default(),
+            issue_time: Vec::new(),
+            remaining: Vec::new(),
+            segs: Vec::with_capacity(8),
             run_latency: OnlineStats::new(),
             run_requests: 0,
             run_fetched: 0,
@@ -147,35 +153,6 @@ impl Engine {
     /// The backend device (for statistics).
     pub fn backend(&self) -> &dyn MemoryTarget {
         self.backend.as_ref()
-    }
-
-    /// Request overhead bytes on the request channel.
-    fn request_overhead(&self) -> u64 {
-        match self.cfg.path {
-            RequestPath::Memory => PcieLinkConfig::REQUEST_TLP_BYTES,
-            RequestPath::Storage { entry_bytes, .. } => entry_bytes,
-        }
-    }
-
-    /// Extra request-path delay (storage pays an additional round trip
-    /// for the drive to fetch the SQ entry from GPU BAR memory).
-    fn request_extra_delay(&self) -> SimDuration {
-        match self.cfg.path {
-            RequestPath::Memory => SimDuration::ZERO,
-            RequestPath::Storage { .. } => {
-                self.cfg.link.propagation() + self.cfg.link.propagation()
-            }
-        }
-    }
-
-    /// Per-segment return-path overhead bytes.
-    fn response_overhead(&self) -> u64 {
-        match self.cfg.path {
-            RequestPath::Memory => PcieLinkConfig::COMPLETION_HEADER_BYTES,
-            // The payload DMA carries its own TLP headers; CQ entries (if
-            // any) are charged per request on the final segment.
-            RequestPath::Storage { .. } => PcieLinkConfig::COMPLETION_HEADER_BYTES,
-        }
     }
 
     /// Execute `requests` starting at `start`; returns when all data has
@@ -190,27 +167,24 @@ impl Engine {
                 latency: OnlineStats::new(),
             };
         }
-        let mut q: EventQueue<Ev> = EventQueue::with_capacity(1024);
-        // The queue clock starts at zero each batch; offset by `start`.
-        // We instead schedule everything in absolute time by seeding the
-        // first events at `start`.
         let warps = (self.cfg.gpu.active_warps as usize).min(r);
         for _ in 0..warps {
-            q.schedule_at(start, Ev::Warp);
+            self.lanes.push(start, Ev::Warp);
         }
 
-        let mut issue_time = vec![SimTime::ZERO; r];
-        let mut remaining = vec![0u32; r];
+        self.issue_time.clear();
+        self.issue_time.resize(r, SimTime::ZERO);
+        self.remaining.clear();
+        self.remaining.resize(r, 0);
         let mut next_item = 0usize;
         let mut completed = 0usize;
-        let mut segs: Vec<ReadSegment> = Vec::with_capacity(8);
         let mut latency = OnlineStats::new();
         let mut end = start;
         let prop = self.cfg.link.propagation();
         let penalty = self.cfg.socket_penalty;
         let compute = self.cfg.gpu.item_compute();
 
-        while let Some((now, ev)) = q.pop() {
+        while let Some((now, ev)) = self.lanes.pop() {
             match ev {
                 Ev::Warp => {
                     if next_item >= r {
@@ -219,19 +193,21 @@ impl Engine {
                     let idx = next_item as u32;
                     next_item += 1;
                     if self.credits.try_acquire(now) {
-                        self.issue(&mut q, now, idx, requests, &mut issue_time);
+                        self.issue(now, idx, requests);
                     } else {
                         self.credits.enqueue_waiter(idx as u64);
                     }
                 }
                 Ev::DevArrive(idx) => {
                     let reqst = requests[idx as usize];
-                    segs.clear();
-                    self.backend.read(now, reqst.addr, reqst.bytes, &mut segs);
-                    remaining[idx as usize] = segs.len() as u32;
-                    for s in &segs {
+                    self.segs.clear();
+                    self.backend
+                        .read(now, reqst.addr, reqst.bytes, &mut self.segs);
+                    self.remaining[idx as usize] = self.segs.len() as u32;
+                    for s in &self.segs {
+                        debug_assert!(s.ready >= now, "segment ready before its read arrived");
                         // Return-side socket hop happens before the link.
-                        q.schedule_at(
+                        self.lanes.push(
                             s.ready + penalty,
                             Ev::SegReady {
                                 req: idx,
@@ -242,39 +218,39 @@ impl Engine {
                 }
                 Ev::SegReady { req, bytes } => {
                     if !self.ret_inflight {
-                        self.start_return_transfer(&mut q, now, req, bytes);
+                        self.start_return_transfer(now, req, bytes);
                     } else {
                         self.ret_queue.push_back((req, bytes));
                     }
                 }
                 Ev::SegDone { req } => {
                     // Data reaches the GPU after the link propagation.
-                    remaining[req as usize] -= 1;
-                    if remaining[req as usize] == 0 {
-                        q.schedule_at(now + prop, Ev::Complete(req));
+                    self.remaining[req as usize] -= 1;
+                    if self.remaining[req as usize] == 0 {
+                        self.lanes.push(now + prop, Ev::Complete(req));
                     }
                     if let Some((nreq, nbytes)) = self.ret_queue.pop_front() {
-                        self.start_return_transfer(&mut q, now, nreq, nbytes);
+                        self.start_return_transfer(now, nreq, nbytes);
                     } else {
                         self.ret_inflight = false;
                     }
                 }
                 Ev::Complete(idx) => {
-                    let lat = now.saturating_since(issue_time[idx as usize]);
+                    let lat = now.saturating_since(self.issue_time[idx as usize]);
                     latency.push(lat.as_us_f64());
                     completed += 1;
                     end = end.max(now);
                     if let Some(waiter) = self.credits.release(now) {
-                        self.issue(&mut q, now, waiter as u32, requests, &mut issue_time);
+                        self.issue(now, waiter as u32, requests);
                     }
                     // The freed warp pulls its next item after processing
                     // the fetched edges.
-                    q.schedule_at(now + compute, Ev::Warp);
+                    self.lanes.push(now + compute, Ev::Warp);
                 }
             }
         }
         debug_assert_eq!(completed, r, "batch did not drain");
-        debug_assert!(self.ret_queue.is_empty());
+        debug_assert!(self.ret_queue.is_empty() && self.lanes.is_empty());
 
         let fetched: u64 = requests.iter().map(|x| x.bytes).sum();
         self.run_fetched += fetched;
@@ -289,37 +265,27 @@ impl Engine {
         }
     }
 
-    fn issue(
-        &mut self,
-        q: &mut EventQueue<Ev>,
-        now: SimTime,
-        idx: u32,
-        requests: &[DeviceRequest],
-        issue_time: &mut [SimTime],
-    ) {
-        issue_time[idx as usize] = now;
+    fn issue(&mut self, now: SimTime, idx: u32, requests: &[DeviceRequest]) {
+        self.issue_time[idx as usize] = now;
         // Host-side per-request overhead (zero except for UVM page
-        // faults), then serialize the request (TLP header or SQ entry)
-        // on the request channel and propagate to the device.
+        // faults), then serialize the request on the request channel and
+        // carry it to the device.
         let host = SimDuration::from_ps(requests[idx as usize].overhead_ps);
-        let ser = self.cfg.link.bandwidth().transfer_time(self.request_overhead());
-        let start = (now + host).max(self.req_next_free);
-        let out = start + ser;
+        let out = (now + host).max(self.req_next_free) + self.req_ser;
         self.req_next_free = out;
-        let arrive =
-            out + self.cfg.link.propagation() + self.cfg.socket_penalty + self.request_extra_delay();
-        q.schedule_at(arrive, Ev::DevArrive(idx));
+        self.lanes.push(out + self.req_delay, Ev::DevArrive(idx));
     }
 
-    fn start_return_transfer(&mut self, q: &mut EventQueue<Ev>, now: SimTime, req: u32, bytes: u64) {
+    fn start_return_transfer(&mut self, now: SimTime, req: u32, bytes: u64) {
+        // Every segment carries its own completion TLP header; storage
+        // payload DMAs carry theirs the same way.
         let ser = self
             .cfg
             .link
             .bandwidth()
-            .transfer_time(bytes + self.response_overhead());
+            .transfer_time(bytes + PcieLinkConfig::COMPLETION_HEADER_BYTES);
         self.ret_inflight = true;
-        self.ret_payload_bytes += bytes;
-        q.schedule_at(now + ser, Ev::SegDone { req });
+        self.lanes.push(now + ser, Ev::SegDone { req });
     }
 
     /// Finalize run-level metrics at the end of the last batch.

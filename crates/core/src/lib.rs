@@ -28,6 +28,7 @@
 
 pub mod access;
 pub mod engine;
+mod event;
 pub mod mem;
 pub mod metrics;
 pub mod microbench;

@@ -1,8 +1,8 @@
 //! # cxlg-sim — deterministic discrete-event simulation engine
 //!
 //! This crate provides the timing substrate used by every hardware model in
-//! the `cxl-gpu-graph` workspace: simulated time, an event queue, and a small
-//! set of queueing-theory building blocks (bandwidth-serialized channels,
+//! the `cxl-gpu-graph` workspace: simulated time and a small set of
+//! queueing-theory building blocks (bandwidth-serialized channels,
 //! rate-limited servers, credit pools) from which the PCIe link, the CXL
 //! memory prototype, the flash drives and the GPU warp scheduler are
 //! assembled.
@@ -19,17 +19,17 @@
 //!   [`rng::Xoshiro256StarStar`] generator. Two runs with identical
 //!   configurations produce bit-identical results, which the test-suite and
 //!   the paper-figure harnesses rely on.
-//! * **No inversion of control**: rather than a trait-object component
-//!   framework, [`EventQueue`] is a plain priority queue and the *driver*
-//!   (in `cxlg-core`) owns the event loop plus all component state. This
-//!   keeps borrows simple and the hot loop monomorphic.
+//! * **No inversion of control**: there is no component framework and no
+//!   event queue here. The *driver* (`cxlg_core::engine`) owns the event
+//!   loop, its future-event list and all component state; the types in
+//!   this crate are passive models it calls. This keeps borrows simple
+//!   and the hot loop monomorphic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod channel;
 pub mod credit;
-pub mod event;
 pub mod rng;
 pub mod server;
 pub mod stats;
@@ -37,7 +37,6 @@ pub mod time;
 
 pub use channel::BandwidthChannel;
 pub use credit::CreditPool;
-pub use event::EventQueue;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use server::RateServer;
 pub use stats::{Histogram, OnlineStats, TimeWeighted};

@@ -236,8 +236,9 @@ impl fmt::Display for SimDuration {
 /// A data rate in bytes per second, with exact integer conversion to
 /// per-byte serialization delays.
 ///
-/// Stored as bytes/sec; transfer times are computed in `u128` to avoid
-/// overflow (`bytes * PS_PER_S` exceeds `u64` for transfers over ~18 MB).
+/// Stored as bytes/sec. Transfer times are computed in `u64` while
+/// `bytes * PS_PER_S` fits (transfers up to ~18 MB) and in `u128` beyond;
+/// both give the same exact ceiling.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Bandwidth(u64);
 
@@ -278,6 +279,9 @@ impl Bandwidth {
     pub fn transfer_time(self, bytes: u64) -> SimDuration {
         if self.0 == 0 {
             return SimDuration(u64::MAX);
+        }
+        if let Some(ps) = bytes.checked_mul(PS_PER_S) {
+            return SimDuration(ps.div_ceil(self.0));
         }
         let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(self.0 as u128);
         SimDuration(ps.min(u64::MAX as u128) as u64)
@@ -371,6 +375,29 @@ mod tests {
     fn zero_bandwidth_is_infinite_delay() {
         let bw = Bandwidth::from_bytes_per_sec(0);
         assert_eq!(bw.transfer_time(1).as_ps(), u64::MAX);
+    }
+
+    #[test]
+    fn u64_fast_path_matches_u128_path() {
+        let wide = |bw: Bandwidth, bytes: u64| {
+            let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(bw.bytes_per_sec() as u128);
+            ps.min(u64::MAX as u128) as u64
+        };
+        // The last size the fast path takes, and the first it hands over.
+        let edge = u64::MAX / PS_PER_S;
+        assert!(edge.checked_mul(PS_PER_S).is_some());
+        assert!((edge + 1).checked_mul(PS_PER_S).is_none());
+        let mut rng = crate::rng::SplitMix64::new(0x7E57);
+        let sizes = [0, 1, 128, edge - 1, edge, edge + 1, u64::MAX];
+        const GB: u64 = 1_000_000_000;
+        for rate in [1, 3, 1_000, 999_999_937, 12 * GB, 24 * GB, 64 * GB] {
+            let bw = Bandwidth::from_bytes_per_sec(rate);
+            let random = (0..1000).map(|_| rng.next_u64() >> (rng.next_u64() % 64));
+            for bytes in sizes.into_iter().chain(random) {
+                let got = bw.transfer_time(bytes).as_ps();
+                assert_eq!(got, wide(bw, bytes), "{rate} B/s, {bytes} B");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cxlg_core::microbench::{cxl_cpu_random_read, pointer_chase_latency};
 use cxlg_core::raf::{raf_for_trace, default_capacity};
 use cxlg_core::system::SystemConfig;
-use cxlg_core::traversal::{bfs_trace, Traversal};
+use cxlg_core::traversal::bfs_trace;
 use cxlg_device::cxl_mem::CxlMemConfig;
 use cxlg_graph::spec::GraphSpec;
 use cxlg_link::pcie::PcieGen;
@@ -48,11 +48,6 @@ fn bench_fig_pipelines(c: &mut Criterion) {
             )
             .throughput_mb_per_sec
         })
-    });
-
-    g.bench_function("fig11_point", |b| {
-        let sys = SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.5);
-        b.iter(|| Traversal::bfs(0).run(&graph, &sys).metrics.runtime)
     });
 
     g.finish();

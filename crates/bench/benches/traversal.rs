@@ -42,5 +42,31 @@ fn bench_bfs_backends(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_workloads, bench_bfs_backends);
+/// Figure 11's group — the host-DRAM baseline and seven CXL latencies —
+/// as one `run_many` call (one shared trace) next to eight separate
+/// `run` calls (eight traces): the before/after row for trace sharing.
+fn bench_run_many_fig11(c: &mut Criterion) {
+    let mut g = c.benchmark_group("traversal");
+    g.sample_size(10);
+    let graph = GraphSpec::urand(13).seed(1).build();
+    let mut systems = vec![SystemConfig::emogi_on_dram(PcieGen::Gen3)];
+    systems.extend((0..7).map(|i| {
+        SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(i as f64 * 0.5)
+    }));
+    let bfs = Traversal::bfs(0);
+    g.bench_function(BenchmarkId::new("run_many_fig11", "run_many"), |b| {
+        b.iter(|| bfs.run_many(&graph, &systems))
+    });
+    g.bench_function(BenchmarkId::new("run_many_fig11", "separate_runs"), |b| {
+        b.iter(|| systems.iter().map(|sys| bfs.run(&graph, sys)).collect::<Vec<_>>())
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_workloads,
+    bench_bfs_backends,
+    bench_run_many_fig11
+);
 criterion_main!(benches);

@@ -445,6 +445,14 @@ pub fn run_cli(args: RunArgs) -> i32 {
         }
     };
     if args.cached {
+        let env = crate::bench_scale().and_then(|scale| Ok((scale, crate::bench_seed()?)));
+        let (scale, seed) = match env {
+            Ok(v) => v,
+            Err(msg) => {
+                eprintln!("cxlg run: {msg}");
+                return 2;
+            }
+        };
         let results_dir = crate::results_dir();
         let cas_root = args
             .cas_root
@@ -460,8 +468,8 @@ pub fn run_cli(args: RunArgs) -> i32 {
             graph_storage: args.graph_storage,
         };
         let outcome = crate::serve_cli::run_cached_campaign(
-            crate::bench_scale(),
-            crate::bench_seed(),
+            scale,
+            seed,
             rayon::current_num_threads(),
             &results_dir,
             &cas_root,
@@ -478,9 +486,17 @@ pub fn run_cli(args: RunArgs) -> i32 {
             }
         };
     }
-    let ctx = ExperimentCtx::from_env_with_storage(
-        args.graph_storage.unwrap_or_else(crate::graph_storage),
-    );
+    let ctx = match args
+        .graph_storage
+        .map_or_else(crate::graph_storage, Ok)
+        .and_then(ExperimentCtx::from_env_with_storage)
+    {
+        Ok(ctx) => ctx,
+        Err(msg) => {
+            eprintln!("cxlg run: {msg}");
+            return 2;
+        }
+    };
     let manifest_path = args
         .manifest
         .map(|p| p.map_or_else(|| ctx.results_dir.join("manifest.json"), PathBuf::from));
@@ -565,7 +581,13 @@ pub fn parse_graph_mem_args(args: &[String]) -> Result<GraphMemArgs, String> {
 /// only when the build is the process's dominant allocation — which is
 /// why it is a subcommand (fresh process) rather than an experiment.
 pub fn graph_mem(args: GraphMemArgs) -> i32 {
-    let seed = crate::bench_seed();
+    let seed = match crate::bench_seed() {
+        Ok(seed) => seed,
+        Err(msg) => {
+            eprintln!("cxlg graph-mem: {msg}");
+            return 2;
+        }
+    };
     let spec = match args.family.as_str() {
         "urand" => cxlg_graph::GraphSpec::urand(args.scale),
         "kron" => cxlg_graph::GraphSpec::kron(args.scale),
@@ -1065,12 +1087,22 @@ pub fn run_serve(args: ServeArgs) -> i32 {
             }
         };
     }
+    let env = crate::graph_storage().and_then(|storage| {
+        Ok((storage, crate::bench_scale()?, crate::bench_seed()?))
+    });
+    let (storage, scale, seed) = match env {
+        Ok(v) => v,
+        Err(msg) => {
+            eprintln!("cxlg serve: {msg}");
+            return 2;
+        }
+    };
     let results_dir = crate::results_dir();
     let cas_root = args
         .cas_root
         .map_or_else(|| results_dir.join("cas"), PathBuf::from);
     let cache = std::sync::Arc::new(crate::cache::GraphCache::with_storage(
-        crate::graph_storage(),
+        storage,
         cxlg_graph::SpillConfig::new(results_dir.join("graph-spill")),
     ));
     let backend = match crate::serve_cli::RegistryBackend::new(&cas_root, cache) {
@@ -1088,8 +1120,8 @@ pub fn run_serve(args: ServeArgs) -> i32 {
         }
     };
     let defaults = SubmitDefaults {
-        scale: crate::bench_scale(),
-        seed: crate::bench_seed(),
+        scale,
+        seed,
         threads: rayon::current_num_threads(),
     };
     let sched = cxlg_serve::scheduler::Scheduler::with_config(
@@ -1234,7 +1266,10 @@ pub fn cxlg_main() {
 pub fn shim_main(name: &str) {
     let exp = registry::find(name)
         .unwrap_or_else(|| panic!("experiment `{name}` is not registered"));
-    let ctx = ExperimentCtx::from_env();
+    let ctx = ExperimentCtx::from_env().unwrap_or_else(|msg| {
+        eprintln!("{name}: {msg}");
+        std::process::exit(2)
+    });
     exp.run(&ctx);
 }
 

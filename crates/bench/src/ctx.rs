@@ -9,8 +9,11 @@
 //! [`Experiment`]: crate::experiment::Experiment
 
 use crate::cache::GraphCache;
+use cxlg_core::metrics::RunReport;
+use cxlg_core::system::SystemConfig;
+use cxlg_core::traversal::Traversal;
 use cxlg_graph::spec::GraphSpec;
-use cxlg_graph::{CsrStorage, SpillConfig, StorageMode};
+use cxlg_graph::{CsrStorage, CsrView, SpillConfig, StorageMode};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -44,28 +47,30 @@ impl ExperimentCtx {
     /// and the rayon pool size. In spill mode the graph spill files live
     /// under `<results_dir>/graph-spill/` (not `.json`, so the result
     /// byte-diff gates never see them) and are deleted as graphs are
-    /// evicted or the process exits.
-    pub fn from_env() -> Self {
-        Self::from_env_with_storage(crate::graph_storage())
+    /// evicted or the process exits. A set but unparsable `CXLG_SCALE`,
+    /// `CXLG_SEED` or `CXLG_GRAPH_STORAGE` is an error naming it.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_env_with_storage(crate::graph_storage()?)
     }
 
     /// [`from_env`](Self::from_env) with an explicit storage backend —
     /// the `cxlg run --graph-storage=` override, which must beat the
     /// environment without mutating it.
-    pub fn from_env_with_storage(mode: StorageMode) -> Self {
+    pub fn from_env_with_storage(mode: StorageMode) -> Result<Self, String> {
         let results_dir = crate::results_dir();
         let cache = Arc::new(GraphCache::with_storage(
             mode,
             SpillConfig::new(results_dir.join("graph-spill")),
         ));
-        Self::with_cache(
-            crate::bench_scale(),
-            crate::bench_seed(),
+        let (scale, seed) = (crate::bench_scale()?, crate::bench_seed()?);
+        Ok(Self::with_cache(
+            scale,
+            seed,
             // cxlg-lint: allow(D6) -- pool size is read once into ctx.threads and recorded in every result header; results are thread-count invariant by the ci.sh byte-diff gate
             rayon::current_num_threads(),
             results_dir,
             cache,
-        )
+        ))
     }
 
     /// Context with explicit parameters (tests, embedding).
@@ -96,11 +101,12 @@ impl ExperimentCtx {
     }
 
     /// Run a sweep on this context's configured worker count — the knob
-    /// that sizes the cross-point fan-out (and the BFS frontier
-    /// expansion nested inside each point's trace). Experiments
-    /// should route sweeps through here rather than calling
-    /// `runner::sweep` directly, so `ctx.threads` is authoritative and
-    /// the manifest's recorded thread count matches what actually ran.
+    /// that sizes the cross-point fan-out (and, inherited by the
+    /// workers, any parallel call nested inside a point). Experiments
+    /// route every sweep through here or [`run_many`](Self::run_many),
+    /// never `runner::sweep` directly, so `ctx.threads` is authoritative
+    /// and the manifest's recorded thread count matches what actually
+    /// ran.
     pub fn sweep<P, R, F>(&self, points: Vec<P>, f: F) -> Vec<R>
     where
         P: Send,
@@ -108,6 +114,19 @@ impl ExperimentCtx {
         F: Fn(P) -> R + Sync + Send,
     {
         cxlg_core::runner::sweep_with_threads(self.threads, points, f)
+    }
+
+    /// Run `trav` on `g` over every system in `systems` on this
+    /// context's worker count: one trace for the group, then the
+    /// systems fanned out over `ctx.threads` (see
+    /// [`Traversal::run_many`]). Reports come back in `systems` order.
+    pub fn run_many<G: CsrView + ?Sized>(
+        &self,
+        g: &G,
+        trav: Traversal,
+        systems: &[SystemConfig],
+    ) -> Vec<RunReport> {
+        rayon::with_num_threads(self.threads.max(1), || trav.run_many(g, systems))
     }
 
     /// The three paper datasets at this context's scale and seed, in

@@ -5,7 +5,7 @@
 //! benchmarks.
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::sweep;
+use cxlg_core::metrics::RunReport;
 use cxlg_core::system::{AccessConfig, BackendConfig, SystemConfig};
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -36,71 +36,84 @@ pub fn run(ctx: &ExperimentCtx) {
     let bfs = Traversal::bfs(0);
     let mut entries: Vec<Entry> = Vec::new();
 
+    // Every study runs BFS from vertex 0 on the same graph, so all
+    // twenty-two systems form one group over one trace.
+    let warp_points = [64u32, 128, 256, 512, 768, 1024, 2048, 3072];
+    let bridges = [("in-order", false), ("out-of-order", true)];
+    let cache_denoms = [32u64, 16, 8, 4, 2, 1];
+    let device_counts = [1u32, 2, 3, 4, 5, 8];
+    let edge_bytes = g.num_edges() * 8;
+    let mut systems: Vec<SystemConfig> = Vec::new();
     // 1. Warp count (§3.5.2: concurrency >= Nmax suffices).
-    let warp_points: Vec<u32> = vec![64, 128, 256, 512, 768, 1024, 2048, 3072];
-    let warp_runs = sweep(warp_points.clone(), |w| {
-        let sys = SystemConfig::emogi_on_dram(PcieGen::Gen4).with_active_warps(w);
-        bfs.run(&g, &sys).metrics.runtime.as_secs_f64() * 1e3
-    });
-    println!("\nWarp count (EMOGI/DRAM, Gen4; Nmax = 768):");
-    for (w, ms) in warp_points.iter().zip(&warp_runs) {
-        println!("  {w:>5} warps: {ms:>8.3} ms");
-        entries.push(Entry {
-            study: "warps",
-            point: w.to_string(),
-            runtime_ms: *ms,
-        });
-    }
-
+    systems.extend(
+        warp_points.map(|w| SystemConfig::emogi_on_dram(PcieGen::Gen4).with_active_warps(w)),
+    );
     // 2. Bridge ordering (Appendix A).
-    println!("\nLatency-bridge ordering (CXL +2 us, Gen3):");
-    for (label, ooo) in [("in-order", false), ("out-of-order", true)] {
+    systems.extend(bridges.map(|(_, ooo)| {
         let mut sys = SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(2.0);
         if ooo {
             if let BackendConfig::CxlMem { dev, .. } = &mut sys.backend {
                 *dev = dev.out_of_order();
             }
         }
-        let ms = bfs.run(&g, &sys).metrics.runtime.as_secs_f64() * 1e3;
-        println!("  {label:<14} {ms:>8.3} ms");
-        entries.push(Entry {
-            study: "bridge",
-            point: label.to_string(),
-            runtime_ms: ms,
-        });
-    }
-
+        sys
+    }));
     // 3. BaM cache capacity (fraction of the edge list).
-    println!("\nBaM software-cache capacity (NVMe, 4 kB lines):");
-    let edge_bytes = g.num_edges() * 8;
-    for denom in [32u64, 16, 8, 4, 2, 1] {
+    systems.extend(cache_denoms.map(|denom| {
         let mut sys = SystemConfig::bam_on_nvme(PcieGen::Gen4, 4);
         if let AccessConfig::SoftwareCache { capacity_bytes, .. } = &mut sys.access {
             *capacity_bytes = Some((edge_bytes / denom).max(4096 * 64));
         }
-        let r = bfs.run(&g, &sys);
-        let ms = r.metrics.runtime.as_secs_f64() * 1e3;
+        sys
+    }));
+    // 4. CXL device count (§4.2.2: five devices so tags exceed Nmax).
+    systems.extend(device_counts.map(|devices| SystemConfig::emogi_on_cxl(PcieGen::Gen3, devices)));
+
+    let reports = ctx.run_many(&g, bfs, &systems);
+    let mut runs = reports.iter();
+    let ms = |r: &RunReport| r.metrics.runtime.as_secs_f64() * 1e3;
+
+    println!("\nWarp count (EMOGI/DRAM, Gen4; Nmax = 768):");
+    for (w, r) in warp_points.iter().zip(runs.by_ref()) {
+        println!("  {w:>5} warps: {:>8.3} ms", ms(r));
+        entries.push(Entry {
+            study: "warps",
+            point: w.to_string(),
+            runtime_ms: ms(r),
+        });
+    }
+
+    println!("\nLatency-bridge ordering (CXL +2 us, Gen3):");
+    for ((label, _), r) in bridges.iter().zip(runs.by_ref()) {
+        println!("  {label:<14} {:>8.3} ms", ms(r));
+        entries.push(Entry {
+            study: "bridge",
+            point: label.to_string(),
+            runtime_ms: ms(r),
+        });
+    }
+
+    println!("\nBaM software-cache capacity (NVMe, 4 kB lines):");
+    for (denom, r) in cache_denoms.iter().zip(runs.by_ref()) {
         println!(
-            "  edge/{denom:<3} cache: {ms:>8.3} ms (RAF {:.2})",
+            "  edge/{denom:<3} cache: {:>8.3} ms (RAF {:.2})",
+            ms(r),
             r.metrics.raf()
         );
         entries.push(Entry {
             study: "bam-cache",
             point: format!("edge/{denom}"),
-            runtime_ms: ms,
+            runtime_ms: ms(r),
         });
     }
 
-    // 4. CXL device count (§4.2.2: five devices so tags exceed Nmax).
     println!("\nCXL device count (Gen3, +0 latency):");
-    for devices in [1u32, 2, 3, 4, 5, 8] {
-        let sys = SystemConfig::emogi_on_cxl(PcieGen::Gen3, devices);
-        let ms = bfs.run(&g, &sys).metrics.runtime.as_secs_f64() * 1e3;
-        println!("  {devices:>2} device(s): {ms:>8.3} ms");
+    for (devices, r) in device_counts.iter().zip(runs.by_ref()) {
+        println!("  {devices:>2} device(s): {:>8.3} ms", ms(r));
         entries.push(Entry {
             study: "cxl-devices",
             point: devices.to_string(),
-            runtime_ms: ms,
+            runtime_ms: ms(r),
         });
     }
 

@@ -9,7 +9,6 @@
 //! (the link, not the device pool, becomes the binding constraint).
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::sweep;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -45,30 +44,27 @@ pub fn run(ctx: &ExperimentCtx) {
     let g = ctx.graph(spec);
     let bfs = Traversal::bfs(0);
 
-    // One host-DRAM baseline per generation, not per sweep point — at
-    // paper scale a single BFS simulation is minutes of work.
+    // One group: a host-DRAM baseline per generation, then every
+    // (generation, device count) point, all on one BFS trace.
     let gens = [PcieGen::Gen3, PcieGen::Gen4];
-    let bases: Vec<f64> = sweep(gens.to_vec(), |gen| {
-        bfs.run(&g, &SystemConfig::emogi_on_dram(gen))
-            .metrics
-            .runtime
-            .as_secs_f64()
-    });
-
-    let jobs: Vec<(PcieGen, f64, u32)> = gens
-        .into_iter()
-        .zip(bases)
-        .flat_map(|(gen, base)| DEVICE_COUNTS.into_iter().map(move |d| (gen, base, d)))
-        .collect();
-    let points: Vec<Point> = sweep(jobs, |(gen, base, devices)| {
-        let r = bfs.run(&g, &SystemConfig::emogi_on_cxl(gen, devices));
-        Point {
-            gen: format!("{gen:?}"),
-            devices,
-            normalized_runtime: r.metrics.runtime.as_secs_f64() / base,
-            runtime_ms: r.metrics.runtime.as_secs_f64() * 1e3,
+    let mut systems: Vec<SystemConfig> = gens.map(SystemConfig::emogi_on_dram).to_vec();
+    for gen in gens {
+        systems.extend(DEVICE_COUNTS.map(|d| SystemConfig::emogi_on_cxl(gen, d)));
+    }
+    let reports = ctx.run_many(&g, bfs, &systems);
+    let (bases, runs) = reports.split_at(gens.len());
+    let mut points: Vec<Point> = Vec::new();
+    for ((gen, base), runs) in gens.iter().zip(bases).zip(runs.chunks(DEVICE_COUNTS.len())) {
+        let base = base.metrics.runtime.as_secs_f64();
+        for (&devices, r) in DEVICE_COUNTS.iter().zip(runs) {
+            points.push(Point {
+                gen: format!("{gen:?}"),
+                devices,
+                normalized_runtime: r.metrics.runtime.as_secs_f64() / base,
+                runtime_ms: r.metrics.runtime.as_secs_f64() * 1e3,
+            });
         }
-    });
+    }
 
     for gen in ["Gen3", "Gen4"] {
         println!("\n{gen} x16 (paper config: 5 devices)");

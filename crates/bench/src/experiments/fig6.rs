@@ -34,29 +34,27 @@ pub fn specs(ctx: &ExperimentCtx) -> Vec<cxlg_graph::GraphSpec> {
 pub fn run(ctx: &ExperimentCtx) {
     ctx.banner(TITLE, DESC);
     let datasets = ctx.paper_datasets();
-    let jobs: Vec<(usize, &'static str)> = (0..3)
-        .flat_map(|i| [(i, "BFS"), (i, "SSSP")])
-        .collect();
-
-    let cells: Vec<Cell> = ctx.sweep(jobs, |(i, workload)| {
-        let spec = datasets[i];
+    // One group per (dataset, workload): EMOGI, XLFDD and BaM share a trace.
+    let systems = [
+        SystemConfig::emogi_on_dram(PcieGen::Gen4),
+        SystemConfig::xlfdd(PcieGen::Gen4, 16),
+        SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+    ];
+    let mut cells: Vec<Cell> = Vec::new();
+    for spec in datasets {
         let g = ctx.graph(spec);
         let src = good_source(&g);
-        let trav = match workload {
-            "BFS" => Traversal::bfs(src),
-            _ => Traversal::sssp(src),
-        };
-        let emogi = trav.run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
-        let base = emogi.metrics.runtime.as_secs_f64();
-        let xl = trav.run(&g, &SystemConfig::xlfdd(PcieGen::Gen4, 16));
-        let bam = trav.run(&g, &SystemConfig::bam_on_nvme(PcieGen::Gen4, 4));
-        Cell {
-            workload,
-            dataset: spec.name(),
-            xlfdd_normalized: xl.metrics.runtime.as_secs_f64() / base,
-            bam_normalized: bam.metrics.runtime.as_secs_f64() / base,
+        for (workload, trav) in [("BFS", Traversal::bfs(src)), ("SSSP", Traversal::sssp(src))] {
+            let runs = ctx.run_many(&g, trav, &systems);
+            let base = runs[0].metrics.runtime.as_secs_f64();
+            cells.push(Cell {
+                workload,
+                dataset: spec.name(),
+                xlfdd_normalized: runs[1].metrics.runtime.as_secs_f64() / base,
+                bam_normalized: runs[2].metrics.runtime.as_secs_f64() / base,
+            });
         }
-    });
+    }
 
     println!(
         "{:<6} {:<16} {:>10} {:>10}",

@@ -46,20 +46,50 @@ pub mod serve_cli;
 use cxlg_core::metrics::RunReport;
 use std::path::PathBuf;
 
-/// log2 of the vertex count used by the figure binaries.
-pub fn bench_scale() -> u32 {
-    std::env::var("CXLG_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
+/// Parse the raw value of environment variable `name`: unset yields
+/// `default`; a set value that `parse` rejects (or that is not UTF-8)
+/// is an error naming the variable and the value, so a typo never runs
+/// a silently different campaign.
+fn parse_env<T>(
+    name: &str,
+    raw: Option<&std::ffi::OsStr>,
+    default: T,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let Some(raw) = raw else { return Ok(default) };
+    raw.to_str()
+        .and_then(parse)
+        .ok_or_else(|| format!("{name}={raw:?} is invalid: expected {expected}"))
 }
 
-/// Seed shared by the figure binaries (override with `CXLG_SEED`).
-pub fn bench_seed() -> u64 {
-    std::env::var("CXLG_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5EED)
+/// log2 of the vertex count used by the figure binaries (`CXLG_SCALE`,
+/// default 16).
+pub fn bench_scale() -> Result<u32, String> {
+    parse_env(
+        "CXLG_SCALE",
+        std::env::var_os("CXLG_SCALE").as_deref(),
+        16,
+        "a log2 vertex count in 1..=31",
+        parse_scale,
+    )
+}
+
+/// A log2 vertex count the generators accept, the same range
+/// `cxlg graph-mem` enforces.
+fn parse_scale(s: &str) -> Option<u32> {
+    s.parse().ok().filter(|scale| (1..=31).contains(scale))
+}
+
+/// Seed shared by the figure binaries (`CXLG_SEED`, default `0x5EED`).
+pub fn bench_seed() -> Result<u64, String> {
+    parse_env(
+        "CXLG_SEED",
+        std::env::var_os("CXLG_SEED").as_deref(),
+        0x5EED,
+        "a decimal u64",
+        |s| s.parse().ok(),
+    )
 }
 
 /// A BFS/SSSP source that reaches a large component: highest-degree
@@ -71,16 +101,17 @@ pub fn good_source<G: cxlg_graph::CsrView + ?Sized>(g: &G) -> cxlg_graph::Vertex
 
 /// Graph storage backend for campaign builds, from `CXLG_GRAPH_STORAGE`
 /// (`mem` default, `spill` for the file-backed out-of-core backend).
-/// The CLI's `--graph-storage` flag overrides this by setting the
-/// variable before the context is constructed. Unknown values fall back
-/// to `mem` — storage is an execution strategy, and results are
-/// backend-invariant by the ci.sh byte-diff gates.
-pub fn graph_storage() -> cxlg_graph::StorageMode {
-    // cxlg-lint: allow(D6) -- storage mode is read once into the campaign's GraphCache and recorded in the manifest; results are storage-invariant by the ci.sh byte-diff gate
-    std::env::var("CXLG_GRAPH_STORAGE")
-        .ok()
-        .and_then(|s| cxlg_graph::StorageMode::parse(&s))
-        .unwrap_or_default()
+/// The CLI's `--graph-storage` flag overrides this. Any other value is
+/// an error: results are backend-invariant by the ci.sh byte-diff gates,
+/// but a misspelt `spill` must not quietly run an in-memory campaign.
+pub fn graph_storage() -> Result<cxlg_graph::StorageMode, String> {
+    parse_env(
+        "CXLG_GRAPH_STORAGE",
+        std::env::var_os("CXLG_GRAPH_STORAGE").as_deref(),
+        cxlg_graph::StorageMode::default(),
+        "`mem` or `spill`",
+        cxlg_graph::StorageMode::parse,
+    )
 }
 
 /// Output directory for machine-readable results.
@@ -114,8 +145,60 @@ mod tests {
     fn scale_env_parsing_defaults() {
         // No env manipulation (tests run in parallel); just check the
         // default path yields a sane value.
-        let s = bench_scale();
+        let s = bench_scale().expect("CXLG_SCALE parses");
         assert!((8..=30).contains(&s));
+    }
+
+    #[test]
+    fn parse_env_defaults_only_when_unset() {
+        use std::ffi::OsStr;
+        let num = |raw: Option<&str>| {
+            parse_env(
+                "CXLG_SEED",
+                raw.map(OsStr::new),
+                7u64,
+                "a decimal u64",
+                |s| s.parse().ok(),
+            )
+        };
+        assert_eq!(num(None), Ok(7));
+        assert_eq!(num(Some("24301")), Ok(24301));
+        for bad in ["", "0x5EED", "-1", "12 "] {
+            let err = num(Some(bad)).unwrap_err();
+            assert!(err.starts_with("CXLG_SEED="), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn scale_must_be_a_generator_scale() {
+        assert_eq!(parse_scale("15"), Some(15));
+        assert_eq!(parse_scale("31"), Some(31));
+        for bad in ["0", "32", "-1", "15.0", "big"] {
+            assert_eq!(parse_scale(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn parse_env_rejects_a_misspelt_storage_mode() {
+        use cxlg_graph::StorageMode;
+        use std::ffi::OsStr;
+        let mode = |raw: &str| {
+            parse_env(
+                "CXLG_GRAPH_STORAGE",
+                Some(OsStr::new(raw)),
+                StorageMode::default(),
+                "`mem` or `spill`",
+                StorageMode::parse,
+            )
+        };
+        assert_eq!(mode("spill"), Ok(StorageMode::Spill));
+        assert_eq!(mode("mem"), Ok(StorageMode::Mem));
+        let err = mode("spil").unwrap_err();
+        assert!(
+            err.contains("CXLG_GRAPH_STORAGE") && err.contains("\"spil\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -334,7 +334,7 @@ pub fn run_cached_campaign(
     opts: &CachedOptions,
 ) -> Result<CachedOutcome, String> {
     std::fs::create_dir_all(results_dir).map_err(|e| format!("create results dir: {e}"))?;
-    let storage = opts.graph_storage.unwrap_or_else(crate::graph_storage);
+    let storage = opts.graph_storage.map_or_else(crate::graph_storage, Ok)?;
     let cache = Arc::new(GraphCache::with_storage(
         storage,
         SpillConfig::new(results_dir.join("graph-spill")),

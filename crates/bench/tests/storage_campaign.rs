@@ -84,3 +84,35 @@ fn spill_campaign_dumps_byte_identical_results_and_fidelity() {
     };
     assert_eq!(report(&mem_dir), report(&spill_dir), "FIDELITY.md must be unchanged");
 }
+
+#[test]
+fn bad_environment_values_fail_loudly_instead_of_falling_back() {
+    // A misspelt storage mode once ran a mem campaign, and an unparsable
+    // scale or seed ran the defaults. Each must now stop `cxlg run` with
+    // exit code 2 and name the variable and its value.
+    let results = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bad-env");
+    for (var, value) in [
+        ("CXLG_GRAPH_STORAGE", "spil"),
+        ("CXLG_SCALE", "abc"),
+        ("CXLG_SCALE", "40"),
+        ("CXLG_SEED", "0x5EED"),
+    ] {
+        for args in [&["run", "fig9"][..], &["run", "--cached", "fig9"][..]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_cxlg"))
+                .args(args)
+                .env_remove("CXLG_GRAPH_STORAGE")
+                .env_remove("CXLG_SCALE")
+                .env_remove("CXLG_SEED")
+                .env(var, value)
+                .env("CXLG_RESULTS_DIR", &results)
+                .output()
+                .expect("launch cxlg");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{var}={value} {args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{var}=\"{value}\"")),
+                "{var}={value} {args:?}: {stderr}"
+            );
+        }
+    }
+}

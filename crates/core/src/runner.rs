@@ -1,29 +1,19 @@
 //! Rayon-parallel parameter sweeps.
 //!
-//! Every simulation point is deterministic and single-threaded, so the
-//! figure harnesses fan sweep points out across cores with rayon and the
-//! results are identical to a sequential run — the guideline-recommended
-//! "convert the outer loop to `par_iter`" shape for embarrassingly
-//! parallel work.
+//! Every simulation point is deterministic, so the figure harnesses fan
+//! sweep points out across cores with rayon and the results are
+//! identical to a sequential run — the guideline-recommended "convert
+//! the outer loop to `par_iter`" shape for embarrassingly parallel work.
+//!
+//! One `(graph, traversal)` over several systems is not a sweep of
+//! independent points: it goes through
+//! [`Traversal::run_many`](crate::traversal::Traversal::run_many), which
+//! traces once per group and then simulates each system, the systems
+//! fanned out over the pool. Drivers run such groups one after another,
+//! so there is one level of parallelism and one trace alive at a time.
 
 use crate::metrics::RunReport;
-use crate::system::SystemConfig;
-use crate::traversal::Traversal;
-use cxlg_graph::CsrView;
 use rayon::prelude::*;
-
-/// Run one traversal over many system configurations in parallel,
-/// preserving input order. Accepts any graph storage backend.
-pub fn sweep_systems<G: CsrView + ?Sized>(
-    graph: &G,
-    traversal: Traversal,
-    systems: &[SystemConfig],
-) -> Vec<RunReport> {
-    systems
-        .par_iter()
-        .map(|sys| traversal.run(graph, sys))
-        .collect()
-}
 
 /// Run many `(label, graph, traversal, system)` points in parallel.
 /// The generic point type keeps harness code declarative.
@@ -38,11 +28,10 @@ where
 
 /// [`sweep`] on a pool of exactly `threads` workers, regardless of the
 /// ambient pool size. Campaign drivers route every sweep through this
-/// with the context's configured worker count. Sweep points are the
-/// unit of parallelism; within a point, the only parallel stage is BFS
-/// frontier expansion in the trace, and each point simulates on one
-/// engine. Results are identical at any thread count; only wall-clock
-/// changes.
+/// with the context's configured worker count; the count is inherited
+/// by the workers, so parallel calls nested inside a point (BFS
+/// frontier expansion) size themselves the same way. Results are
+/// identical at any thread count; only wall-clock changes.
 pub fn sweep_with_threads<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
@@ -142,6 +131,8 @@ pub fn interp_series(points: &[(f64, f64)], x: f64, log_x: bool) -> Option<f64> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::SystemConfig;
+    use crate::traversal::Traversal;
     use cxlg_graph::spec::GraphSpec;
     use cxlg_link::pcie::PcieGen;
     use cxlg_sim::SimDuration;
@@ -160,8 +151,7 @@ mod tests {
         // The sequential reference must be reproduced bit-for-bit at
         // every pool size, not just the default one.
         for threads in [1, 2, 8] {
-            let par =
-                rayon::with_num_threads(threads, || sweep_systems(&g, Traversal::bfs(0), &systems));
+            let par = rayon::with_num_threads(threads, || Traversal::bfs(0).run_many(&g, &systems));
             for (a, b) in par.iter().zip(&seq) {
                 assert_eq!(a.metrics.runtime, b.metrics.runtime, "threads={threads}");
                 assert_eq!(a.metrics.fetched_bytes, b.metrics.fetched_bytes);
@@ -181,7 +171,7 @@ mod tests {
             .collect();
         let run = |threads: usize| {
             rayon::with_num_threads(threads, || {
-                let reports = sweep_systems(&g, Traversal::bfs(0), &systems);
+                let reports = Traversal::bfs(0).run_many(&g, &systems);
                 serde_json::to_string(&reports).expect("serialize reports")
             })
         };

@@ -16,15 +16,25 @@
 //!
 //! # Execution path
 //!
-//! [`Traversal::run`] is the one way a workload is simulated. It traces
-//! the workload, builds one engine, then streams the levels: each
-//! level's sublist spans are planned through the access method (stateful
-//! across levels — the BaM cache, UVM fault tracking) into a reused
-//! request buffer, and the batch runs on the engine starting on the
-//! clock where the previous level ended. A single engine is required,
-//! not just convenient: flash media keep page registers, plane busy
-//! times and a jitter RNG across level barriers, and the credit pool's
-//! occupancy integral and the run clock are continuous over the run.
+//! [`Traversal::run_many`] is the one way a workload is simulated. The
+//! trace is pure graph computation and does not depend on the system, so
+//! it is computed once per call and shared by every system in the group;
+//! [`Traversal::run`] is `run_many` over a single system. Each system
+//! then builds its own access method and engine and streams the levels:
+//! each level's sublist spans are planned through the access method
+//! (stateful across levels — the BaM cache, UVM fault tracking) into a
+//! reused request buffer, and the batch runs on the engine starting on
+//! the clock where the previous level ended. A single engine per system
+//! is required, not just convenient: flash media keep page registers,
+//! plane busy times and a jitter RNG across level barriers, and the
+//! credit pool's occupancy integral and the run clock are continuous
+//! over the run.
+//!
+//! The group's systems fan out over the rayon pool (one level of
+//! parallelism: callers run groups one after another), and only the one
+//! shared trace is alive while they run. Every report is exactly the one
+//! a lone `run` gives: the simulations share nothing but the read-only
+//! trace and graph.
 //!
 //! Within the trace itself, BFS frontier expansion is parallelized
 //! (candidate collection against the level-entry `visited` snapshot,
@@ -142,17 +152,48 @@ impl Traversal {
         }
     }
 
-    /// Run the workload on a simulated system, producing full metrics.
-    ///
-    /// Trace, then plan and simulate one level at a time on one engine
-    /// (see the module docs), so only one level's requests are alive at
-    /// a time. The result is identical at any `RAYON_NUM_THREADS`: the
-    /// only parallelism inside a run is BFS frontier expansion, whose
-    /// output is thread-count invariant.
+    /// Run the workload on a simulated system, producing full metrics:
+    /// [`run_many`](Self::run_many) over the one system.
     pub fn run<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        let layout = EdgeListLayout::new(g);
-        let mut access = sys.build_access(layout.edge_list_bytes());
+        let mut reports = self.run_many(g, std::slice::from_ref(sys));
+        reports
+            .pop()
+            .expect("run_many returns one report per system")
+    }
+
+    /// Run the workload on every system in `systems`, tracing it once,
+    /// and return one report per system in input order.
+    ///
+    /// The systems fan out over the rayon pool; each plans and simulates
+    /// one level at a time on its own engine (see the module docs), so
+    /// only one level's requests per system are alive at a time. Report
+    /// `i` is byte-identical to `run(g, &systems[i])` at any
+    /// `RAYON_NUM_THREADS`: each simulation is sequential, and the
+    /// trace's only parallel stage, BFS frontier expansion, is
+    /// thread-count invariant.
+    pub fn run_many<G: CsrView + ?Sized>(&self, g: &G, systems: &[SystemConfig]) -> Vec<RunReport> {
+        use rayon::prelude::*;
+        if systems.is_empty() {
+            return Vec::new();
+        }
         let (trace, reached) = self.trace_with_reached(g);
+        let layout = EdgeListLayout::new(g);
+        systems
+            .par_iter()
+            .map(|sys| self.simulate(&layout, &trace, reached, sys))
+            .collect()
+    }
+
+    /// Plan and simulate a traced workload on one system: one engine,
+    /// one reused request buffer, one batch per level.
+    fn simulate<G: CsrView + ?Sized>(
+        &self,
+        layout: &EdgeListLayout<'_, G>,
+        trace: &[Vec<VertexId>],
+        reached: u64,
+        sys: &SystemConfig,
+    ) -> RunReport {
+        let mut access = sys.build_access(layout.edge_list_bytes());
         let mut engine = sys.build_engine();
         let mut reqs: Vec<DeviceRequest> = Vec::new();
         let mut levels = Vec::with_capacity(trace.len());

@@ -3,7 +3,7 @@
 //! parallelism, and every public config/report type must round-trip
 //! through serde.
 
-use cxl_gpu_graph::core::runner::{sweep, sweep_systems, sweep_with_threads};
+use cxl_gpu_graph::core::runner::{sweep, sweep_with_threads};
 use cxl_gpu_graph::core::system::SystemConfig as Sys;
 use cxl_gpu_graph::prelude::*;
 use proptest::prelude::*;
@@ -38,7 +38,7 @@ fn parallel_sweep_equals_sequential_run() {
     let systems: Vec<Sys> = (0..6)
         .map(|i| Sys::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(i as f64 * 0.5))
         .collect();
-    let par = sweep_systems(&g, Traversal::bfs(0), &systems);
+    let par = Traversal::bfs(0).run_many(&g, &systems);
     for (i, sys) in systems.iter().enumerate() {
         let seq = Traversal::bfs(0).run(&g, sys);
         assert_eq!(par[i].metrics.runtime, seq.metrics.runtime, "point {i}");
@@ -56,7 +56,7 @@ fn full_stack_is_byte_identical_across_thread_counts() {
             let systems: Vec<Sys> = (0..5)
                 .map(|i| Sys::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(i as f64 * 0.4))
                 .collect();
-            let reports = sweep_systems(&g, Traversal::bfs(g.max_degree_vertex().unwrap()), &systems);
+            let reports = Traversal::bfs(g.max_degree_vertex().unwrap()).run_many(&g, &systems);
             serde_json::to_string(&reports).expect("serialize sweep reports")
         })
     };
@@ -220,13 +220,13 @@ fn spill_storage_is_byte_identical_to_mem_across_the_stack() {
     let src = mem.max_degree_vertex().unwrap();
     let reference: Vec<String> = [Traversal::bfs(src), Traversal::sssp(src), Traversal::pagerank(2)]
         .into_iter()
-        .map(|t| serde_json::to_string(&sweep_systems(&mem, t, &systems)).unwrap())
+        .map(|t| serde_json::to_string(&t.run_many(&mem, &systems)).unwrap())
         .collect();
     for threads in [1usize, 2, 8] {
         let got: Vec<String> = rayon::with_num_threads(threads, || {
             [Traversal::bfs(src), Traversal::sssp(src), Traversal::pagerank(2)]
                 .into_iter()
-                .map(|t| serde_json::to_string(&sweep_systems(&spill, t, &systems)).unwrap())
+                .map(|t| serde_json::to_string(&t.run_many(&spill, &systems)).unwrap())
                 .collect()
         });
         assert_eq!(got, reference, "spill reports diverge at {threads} thread(s)");
